@@ -169,7 +169,7 @@ def direct_synthesis(stg, options=None):
         from repro.csc.polish import polish_assignment
 
         with obs.span("polish"):
-            assignment = polish_assignment(graph, assignment)
+            assignment = polish_assignment(graph, assignment, budget=budget)
             expanded = expand(graph, assignment)
     assert_csc(expanded, context="direct synthesis result")
     from repro.csc.synthesis import _assert_realizable

@@ -280,7 +280,9 @@ def modular_synthesis(stg, options=None):
             if budget is not None:
                 budget.checkpoint("polish")
             with obs.span("polish"):
-                assignment = polish_assignment(graph, assignment)
+                assignment = polish_assignment(
+                    graph, assignment, budget=budget
+                )
                 expanded = expand(graph, assignment)
         _assert_realizable(graph, assignment)
 
