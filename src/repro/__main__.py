@@ -87,6 +87,7 @@ import os
 import sys
 
 from repro import obs
+from repro.csc.solve import routes_incremental
 from repro.errors import ReproError
 from repro.logic import equations, write_synthesis_blif
 from repro.runtime.budget import Budget
@@ -299,11 +300,15 @@ def _run(args, stg, tracer):
     if args.json:
         _print_json(args, report, stg)
     else:
+        solver = (
+            "incremental" if routes_incremental(args.engine, args.sat_mode)
+            else args.engine
+        )
         print(
             f"{stg.name}: {result.initial_states} -> "
             f"{result.final_states} states, {result.initial_signals} -> "
             f"{result.final_signals} signals, {result.literals} literals, "
-            f"{result.seconds:.2f}s ({args.method}/{args.engine}{verified})"
+            f"{result.seconds:.2f}s ({args.method}/{solver}{verified})"
         )
         if not args.quiet:
             for line in equations(result.covers, result.expanded.signals):

@@ -23,7 +23,7 @@ from repro.csc.input_set import InputSetResult, determine_input_set, sg_triggers
 from repro.csc.insertion import expand
 from repro.csc.modular import PartitionResult, partition_sat
 from repro.csc.propagate import propagate
-from repro.csc.sat_csc import CscFormula, build_csc_formula, formula_stats
+from repro.csc.sat_csc import CscFormula, build_csc_formula
 from repro.csc.solve import AttemptStats, SolveOutcome, solve_state_signals
 from repro.csc.synthesis import ModularResult, ModuleReport, modular_synthesis
 from repro.csc.values import Value, edge_compatible, merge_values
@@ -50,7 +50,6 @@ __all__ = [
     "direct_synthesis",
     "edge_compatible",
     "expand",
-    "formula_stats",
     "merge_values",
     "modular_synthesis",
     "partition_sat",

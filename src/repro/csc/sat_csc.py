@@ -410,11 +410,6 @@ def _add_implied_consistency(cnf, m, a_vars, b_vars, i, j, serial_flags):
         cnf.add_clause(separators + [-flag_j])
 
 
-def formula_stats(formula):
-    """``(num_vars, num_clauses)`` of a built formula."""
-    return (formula.num_vars, formula.num_clauses)
-
-
 class IncrementalCscFormula:
     """The SAT-CSC formula family of one grow-``m`` loop, *monotone*.
 

@@ -14,7 +14,7 @@ from repro.csc.sat_csc import IncrementalCscFormula, build_csc_formula
 from repro.obs import Counters, Stopwatch
 from repro.runtime.faults import should_fire as _fault_fires
 from repro.sat import solve_with
-from repro.sat.solver import LIMIT, SAT, SolveResult
+from repro.sat.solver import LIMIT, SAT
 from repro.stategraph.csc import csc_conflicts, csc_lower_bound
 
 #: Safety cap: no benchmark needs anywhere near this many state signals.
@@ -134,21 +134,13 @@ def solve_state_signals(graph, outputs=None, extra_codes=None,
         before each attempt) and the engine-fallback ladder switch,
         both forwarded to :func:`repro.sat.solve_with`.
     sat_mode:
-        ``"incremental"`` (default) holds one assumption-based
-        :class:`~repro.sat.incremental.IncrementalSolver` for the whole
-        grow-``m`` loop: learned clauses carry across attempts, the two
-        serialisation variants of one ``m`` share a clause database,
-        and a banned-variant UNSAT core that never used the
-        serialisation guard skips the permissive re-solve outright.
-        ``"oneshot"`` rebuilds the CNF and starts a cold engine per
-        attempt -- the paper-faithful baseline.  The mode only applies
-        to the :data:`INCREMENTAL_ENGINES`; ``"dpll"``/``"bdd"`` keep
-        their one-shot semantics regardless.  An incremental attempt
-        that exhausts its budget is retried one-shot through
-        :func:`~repro.sat.solve_with` (and its escalation ladder when
-        ``fallback`` is set) before the ``on_limit`` policy applies --
-        the retry is journalled as an ``oneshot_fallback`` event, never
-        silent.
+        ``"incremental"`` (default) runs every attempt on one persistent
+        solver (:class:`_IncrementalAttempts`); ``"oneshot"`` rebuilds
+        the CNF and starts a cold engine per attempt -- the
+        paper-faithful baseline.  Only the :data:`INCREMENTAL_ENGINES`
+        route to the incremental core (:func:`routes_incremental`).  An
+        incremental attempt that exhausts its budget is retried one-shot
+        (journalled as ``oneshot_fallback``) before ``on_limit`` applies.
 
     Raises
     ------
@@ -210,7 +202,6 @@ def solve_state_signals(graph, outputs=None, extra_codes=None,
                 extra_implied=extra_implied,
             )),
         )
-    attempts = []
     # Under the skip policy (the modular passes), each m first tries the
     # serialisation-free variant: its solutions keep the original outputs'
     # logic independent of the new signals (smaller covers).  Under the
@@ -218,86 +209,12 @@ def solve_state_signals(graph, outputs=None, extra_codes=None,
     # solved -- one formula per m, as in the original monolithic method,
     # so a budget exhaustion is attributable to *the* formula.
     variants = (False, True) if on_limit == "skip" else (True,)
-    if sat_mode == "incremental" and engine in INCREMENTAL_ENGINES:
-        return _grow_incremental(
-            graph, conflicts, outputs, extra_codes, extra_implied,
-            limits, m, max_signals, variants, engine, on_limit,
-            budget, fallback, watch,
-        )
-    while m <= max_signals:
-        for allow_serialisation in variants:
-            if budget is not None:
-                budget.checkpoint("solve-state-signals")
-            with obs.span("encode", m=m) as encode_span:
-                formula = build_csc_formula(
-                    graph, m, outputs=outputs, extra_codes=extra_codes,
-                    extra_implied=extra_implied, conflict_pairs=conflicts,
-                    allow_serialisation=allow_serialisation,
-                )
-                encode_span.add("num_clauses", formula.num_clauses)
-                encode_span.add("num_vars", formula.num_vars)
-            with obs.span("sat_attempt", m=m, engine=engine) as attempt_span:
-                result = solve_with(
-                    formula.cnf, limits, engine=engine, fallback=fallback,
-                    budget=budget,
-                )
-                attempt_span.set("status", result.status)
-                attempt_span.add("sat_attempts")
-                attempt_span.add("num_clauses", formula.num_clauses)
-                attempt_span.add("num_vars", formula.num_vars)
-                attempt_span.merge(result.metrics)
-            if budget is not None:
-                budget.charge_backtracks(result.backtracks)
-            attempts.append(
-                AttemptStats(
-                    m, formula.num_vars, formula.num_clauses, result
-                )
-            )
-            if result.status == LIMIT and on_limit != "skip":
-                raise BacktrackLimitError(
-                    f"SAT backtrack limit reached with m={m} "
-                    f"({formula.num_clauses} clauses, "
-                    f"{formula.num_vars} vars)",
-                    backtracks=result.backtracks,
-                    seconds=watch.elapsed(),
-                )
-            if result.status == SAT:
-                rows = formula.decode(result.assignment)
-                return SolveOutcome(
-                    rows, m, attempts, watch.elapsed()
-                )
-        m += 1
-    raise SynthesisError(
-        f"no satisfiable formula up to m={max_signals} state signals"
-    )
-
-
-def _grow_incremental(graph, conflicts, outputs, extra_codes, extra_implied,
-                      limits, m, max_signals, variants, engine, on_limit,
-                      budget, fallback, watch):
-    """The grow-``m`` loop over one persistent incremental solver.
-
-    Semantically identical to the one-shot loop (same attempt order,
-    same ``on_limit`` policy, same exceptions); operationally each
-    attempt is the shared clause database under a new assumption set,
-    so learned clauses carry across variants *and* across ``m``.  Two
-    refinements the one-shot loop cannot express:
-
-    * when the banned-serialisation variant is UNSAT and its
-      failed-assumption core never used the serialisation guard, the
-      permissive variant of the same ``m`` is skipped -- the core
-      already proves it unsatisfiable (``variant_skips``);
-    * when an incremental attempt runs out of budget, the attempt is
-      retried one-shot via :func:`~repro.sat.solve_with` (with the
-      escalation ladder when ``fallback`` is set) before the
-      ``on_limit`` policy applies; the retry is journalled as an
-      ``oneshot_fallback`` point event and counted, never silent.
-    """
+    encoding = dict(outputs=outputs, extra_codes=extra_codes,
+                    extra_implied=extra_implied, conflict_pairs=conflicts)
+    kind = (_IncrementalAttempts if routes_incremental(engine, sat_mode)
+            else _OneshotAttempts)
+    route = kind(graph, encoding, limits, engine, budget, fallback)
     attempts = []
-    formula = IncrementalCscFormula(
-        graph, outputs=outputs, extra_codes=extra_codes,
-        extra_implied=extra_implied, conflict_pairs=conflicts,
-    )
     while m <= max_signals:
         skip_permissive = False
         for allow_serialisation in variants:
@@ -308,47 +225,17 @@ def _grow_incremental(graph, conflicts, outputs, extra_codes, extra_implied,
             if budget is not None:
                 budget.checkpoint("solve-state-signals")
             with obs.span("encode", m=m) as encode_span:
-                formula.ensure_m(m)
+                formula = route.encode(m, allow_serialisation)
                 encode_span.add("num_clauses", formula.num_clauses)
                 encode_span.add("num_vars", formula.num_vars)
-            decoder = formula.decode
             with obs.span("sat_attempt", m=m, engine=engine,
-                          sat_mode="incremental") as attempt_span:
-                attempt_limits = (
-                    budget.sub_limits(limits) if budget is not None
-                    else limits
-                )
-                if _fault_fires("solver-limit", detail=engine):
-                    result = SolveResult(LIMIT, None, 0, 0, 0, 0.0)
-                else:
-                    result = formula.solve(
-                        m, allow_serialisation, attempt_limits
-                    )
-                if result.status == LIMIT:
-                    obs.add("oneshot_fallbacks")
-                    obs.event(
-                        "oneshot_fallback", m=m, engine=engine,
-                        variant=("permissive" if allow_serialisation
-                                 else "banned"),
-                    )
-                    oneshot = build_csc_formula(
-                        graph, m, outputs=outputs, extra_codes=extra_codes,
-                        extra_implied=extra_implied,
-                        conflict_pairs=conflicts,
-                        allow_serialisation=allow_serialisation,
-                    )
-                    result = solve_with(
-                        oneshot.cnf, limits, engine=engine,
-                        fallback=fallback, budget=budget,
-                    )
-                    decoder = lambda model, _m: oneshot.decode(model)
+                          **route.span_attrs) as attempt_span:
+                result, decode = route.solve(m, allow_serialisation)
                 attempt_span.set("status", result.status)
                 attempt_span.add("sat_attempts")
                 attempt_span.add("num_clauses", formula.num_clauses)
                 attempt_span.add("num_vars", formula.num_vars)
                 attempt_span.merge(result.metrics)
-            if budget is not None:
-                budget.charge_backtracks(result.backtracks)
             attempts.append(
                 AttemptStats(
                     m, formula.num_vars, formula.num_clauses, result
@@ -363,16 +250,100 @@ def _grow_incremental(graph, conflicts, outputs, extra_codes, extra_implied,
                     seconds=watch.elapsed(),
                 )
             if result.status == SAT:
-                rows = decoder(result.assignment, m)
+                rows = decode(result.assignment)
                 return SolveOutcome(rows, m, attempts, watch.elapsed())
-            core = getattr(result, "failed_assumptions", None)
-            if (not allow_serialisation and core is not None
-                    and formula.noserial not in core):
-                skip_permissive = True
+            if not allow_serialisation:
+                skip_permissive = route.permissive_refuted
         m += 1
     raise SynthesisError(
         f"no satisfiable formula up to m={max_signals} state signals"
     )
+
+
+def routes_incremental(engine, sat_mode):
+    """Whether attempts under ``engine``/``sat_mode`` run on the
+    incremental core rather than one-shot through :func:`solve_with`."""
+    return sat_mode == "incremental" and engine in INCREMENTAL_ENGINES
+
+
+class _OneshotAttempts:
+    """A fresh CNF and a cold engine per attempt.
+
+    :func:`~repro.sat.solve_with` charges ``budget`` for every engine
+    call it makes, escalation rungs included.
+    """
+
+    span_attrs = {}
+    #: Set when the last banned-variant UNSAT also refutes the
+    #: permissive variant of the same ``m``; one-shot cannot tell.
+    permissive_refuted = False
+
+    def __init__(self, graph, encoding, limits, engine, budget, fallback):
+        self.graph, self.encoding = graph, encoding
+        self.limits, self.engine = limits, engine
+        self.budget, self.fallback = budget, fallback
+
+    def encode(self, m, allow_serialisation):
+        self.formula = build_csc_formula(
+            self.graph, m, allow_serialisation=allow_serialisation,
+            **self.encoding,
+        )
+        return self.formula
+
+    def solve(self, m, allow_serialisation):
+        """``(result, decode)`` of the attempt :meth:`encode` built."""
+        result = solve_with(
+            self.formula.cnf, self.limits, engine=self.engine,
+            fallback=self.fallback, budget=self.budget,
+        )
+        return result, self.formula.decode
+
+
+class _IncrementalAttempts(_OneshotAttempts):
+    """Every attempt on one persistent assumption-based solver.
+
+    Learned clauses carry across variants *and* across ``m``.  When the
+    banned-serialisation variant is UNSAT and its failed-assumption core
+    never used the serialisation guard, the permissive variant of the
+    same ``m`` is skipped (``variant_skips``).  An attempt that runs out
+    of budget is retried one-shot, with the escalation ladder when
+    ``fallback`` is set, before the ``on_limit`` policy applies; the
+    retry is journalled as an ``oneshot_fallback`` event, never silent.
+    """
+
+    span_attrs = {"sat_mode": "incremental"}
+
+    def __init__(self, graph, encoding, *solve_args):
+        super().__init__(graph, encoding, *solve_args)
+        self.incremental = IncrementalCscFormula(graph, **encoding)
+
+    def encode(self, m, allow_serialisation):
+        self.incremental.ensure_m(m)
+        return self.incremental
+
+    def solve(self, m, allow_serialisation):
+        self.permissive_refuted = False
+        budget = self.budget
+        if not _fault_fires("solver-limit", detail=self.engine):
+            limits = self.limits
+            if budget is not None:
+                limits = budget.sub_limits(limits)
+            result = self.incremental.solve(m, allow_serialisation, limits)
+            if budget is not None:
+                budget.charge_backtracks(result.backtracks)
+            if result.status != LIMIT:
+                core = result.failed_assumptions
+                self.permissive_refuted = (
+                    core is not None and self.incremental.noserial not in core
+                )
+                return result, lambda model: self.incremental.decode(model, m)
+        obs.add("oneshot_fallbacks")
+        obs.event(
+            "oneshot_fallback", m=m, engine=self.engine,
+            variant="permissive" if allow_serialisation else "banned",
+        )
+        super().encode(m, allow_serialisation)
+        return super().solve(m, allow_serialisation)
 
 
 def _finite(bound):

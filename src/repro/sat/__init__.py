@@ -9,8 +9,10 @@ with SIS, Stephan et al. 1992).  This package provides:
 * :mod:`repro.sat.solver` -- the era-faithful chronological DPLL with
   two-watched-literal propagation (its "backtrack limit" produces the
   Table-1 aborts);
-* :mod:`repro.sat.cdcl` -- a modern conflict-driven solver (1UIP
-  learning, VSIDS, restarts);
+* :mod:`repro.sat.incremental` -- the one conflict-driven solver
+  (1UIP learning, VSIDS, Luby restarts, solving under assumptions).
+  The grow-``m`` loop keeps one instance per module; :func:`solve_cdcl`
+  is a one-shot solve on a fresh instance;
 * :mod:`repro.sat.bdd_engine` -- decision by BDD construction returning
   *minimum-weight* models (the follow-up paper's area-driven approach);
 * :func:`solve_with` -- engine dispatch, defaulting to a DPLL-then-CDCL
@@ -20,10 +22,11 @@ with SIS, Stephan et al. 1992).  This package provides:
 """
 
 from repro import obs
+from repro.obs import Counters
 from repro.runtime.faults import should_fire as _fault_fires
 from repro.sat.cnf import Cnf
 from repro.sat.bdd_engine import solve_bdd
-from repro.sat.cdcl import solve_cdcl
+from repro.sat.incremental import IncrementalSolver
 from repro.sat.solver import (
     LIMIT,
     SAT,
@@ -34,12 +37,25 @@ from repro.sat.solver import (
 )
 
 
+#: Counters of solver reuse, which a one-shot solve does not have.
+_REUSE_COUNTERS = ("incremental_solves", "learned_kept")
+
 #: Budget for the DPLL pass of the hybrid engine.
 _HYBRID_DPLL_LIMITS = Limits(max_backtracks=50_000, max_seconds=2.0)
 
 #: Budget multipliers for the ladder's enlarged CDCL retry.
 _LADDER_BACKTRACK_FACTOR = 4
 _LADDER_SECONDS_FACTOR = 2.0
+
+
+def solve_cdcl(cnf, limits=None):
+    """Decide ``cnf`` one-shot on a fresh :class:`IncrementalSolver`."""
+    result = IncrementalSolver.from_cnf(cnf, limits).solve()
+    result.metrics = Counters(**{
+        name: value for name, value in result.metrics.as_dict().items()
+        if name not in _REUSE_COUNTERS
+    })
+    return result
 
 
 def solve_with(cnf, limits=None, engine="hybrid", fallback=False,
@@ -67,18 +83,20 @@ def solve_with(cnf, limits=None, engine="hybrid", fallback=False,
     ``(engine, status)`` rungs is recorded on ``result.escalations``.
     ``budget`` (a :class:`~repro.runtime.budget.Budget`) additionally
     clips every rung to the run's remaining global allowance, so the
-    ladder can never climb past the run deadline.
+    ladder can never climb past the run deadline, and is charged the
+    backtracks of every engine call -- a rescue's discarded first phase
+    and the rungs below the last one included.
     """
     if budget is not None:
         limits = budget.sub_limits(limits)
-    result = _solve_once(cnf, limits, engine)
+    result = _solve_once(cnf, limits, engine, budget)
     if result.status != LIMIT or not fallback:
         return result
     trail = [(engine, result.status)]
     for rung_engine, rung_limits in _ladder(engine, limits, budget):
         obs.add("escalations")
         obs.event("escalate", engine=rung_engine)
-        result = _solve_once(cnf, rung_limits, rung_engine)
+        result = _solve_once(cnf, rung_limits, rung_engine, budget)
         trail.append((rung_engine, result.status))
         if result.status != LIMIT:
             break
@@ -86,20 +104,21 @@ def solve_with(cnf, limits=None, engine="hybrid", fallback=False,
     return result
 
 
-def _solve_once(cnf, limits, engine):
-    """One rung: dispatch to a single engine (plus its built-in rescue)."""
+def _solve_once(cnf, limits, engine, budget):
+    """One rung: a single engine, then its built-in rescue on ``LIMIT``.
+
+    Every engine call is charged to ``budget``, a discarded first phase
+    included.
+    """
     if _fault_fires("solver-limit", detail=engine):
         return SolveResult(LIMIT, None, 0, 0, 0, 0.0)
     if engine == "cdcl":
-        return solve_cdcl(cnf, limits)
-    if engine == "dpll":
-        return solve(cnf, limits)
-    if engine == "bdd":
-        result = solve_bdd(cnf, limits)
-        if result.status != LIMIT:
-            return result
-        return solve_cdcl(cnf, limits)
-    if engine == "hybrid":
+        phases = [(solve_cdcl, limits)]
+    elif engine == "dpll":
+        phases = [(solve, limits)]
+    elif engine == "bdd":
+        phases = [(solve_bdd, limits), (solve_cdcl, limits)]
+    elif engine == "hybrid":
         first = _HYBRID_DPLL_LIMITS
         if limits is not None:
             first = Limits(
@@ -108,11 +127,16 @@ def _solve_once(cnf, limits, engine):
                 ),
                 max_seconds=_min_opt(limits.max_seconds, first.max_seconds),
             )
-        result = solve(cnf, first)
+        phases = [(solve, first), (solve_cdcl, limits)]
+    else:
+        raise ValueError(f"unknown SAT engine {engine!r}")
+    for search, search_limits in phases:
+        result = search(cnf, search_limits)
+        if budget is not None:
+            budget.charge_backtracks(result.backtracks)
         if result.status != LIMIT:
-            return result
-        return solve_cdcl(cnf, limits)
-    raise ValueError(f"unknown SAT engine {engine!r}")
+            break
+    return result
 
 
 def _ladder(engine, limits, budget):
@@ -163,7 +187,6 @@ from repro.sat.encode import (
     add_implies,
     add_xor_var,
 )
-from repro.sat.incremental import IncrementalSolver
 
 __all__ = [
     "Cnf",

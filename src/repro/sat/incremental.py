@@ -1,9 +1,13 @@
 """Assumption-based incremental CDCL solving for formula *sequences*.
 
+This is the package's one conflict-driven solver.  A one-shot CDCL
+solve (:func:`repro.sat.solve_cdcl`) is a single :meth:`solve` on a
+fresh instance; the rest of this docstring is about reusing one.
+
 The grow-``m`` loop (:mod:`repro.csc.solve`) decides a sequence of
 closely related SAT-CSC formulas per module: the ``m``-signal attempt,
 its two serialisation variants, then the ``m+1``-signal re-encoding when
-``m`` proved infeasible.  The one-shot engines rebuild the CNF and start
+``m`` proved infeasible.  One-shot solving rebuilds the CNF and starts
 a cold search for every member of that sequence, throwing away all
 learned clauses -- including the refutation that just proved ``m``
 infeasible, which is exactly the work the ``m+1`` attempt repeats.
@@ -25,9 +29,8 @@ database.  Between calls everything expensive survives:
   the clause.
 
 Branching is VSIDS over an indexed max-heap (:class:`_VarHeap`) --
-``O(log n)`` per decision instead of the ``O(num_vars)`` scan of
-:meth:`repro.sat.cdcl._Cdcl._pick_branch` -- with ties broken towards
-the lowest variable index, so two runs over the same clause stream make
+``O(log n)`` per decision instead of an ``O(num_vars)`` activity scan
+-- with ties broken towards the lowest variable index, so two runs over the same clause stream make
 identical decisions and the serial/parallel bit-identity contract of
 ``docs/parallelism.md`` survives.  Restarts follow the Luby sequence.
 
@@ -49,14 +52,14 @@ long conflict-free propagation stretch cannot blow through a deadline.
 from __future__ import annotations
 
 from repro.obs import Counters, Stopwatch
-from repro.sat.solver import LIMIT, SAT, UNSAT, Limits, SolveResult
+from repro.sat.solver import (
+    LIMIT, SAT, UNSAT, Limits, SolveResult, _TIME_CHECK_STRIDE,
+)
 
 _ACTIVITY_DECAY = 0.95
 _RESCALE_LIMIT = 1e100
 #: Luby restart base: restart after ``luby(i) * unit`` conflicts.
 _LUBY_UNIT = 100
-#: Wall-clock deadline check cadence, in decisions.
-_TIME_CHECK_STRIDE = 64
 #: Learned clauses with LBD at or below this survive every reduction.
 _DB_KEEP_LBD = 2
 

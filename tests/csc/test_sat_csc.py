@@ -6,7 +6,6 @@ from repro.csc import (
     Assignment,
     IntrinsicConflictError,
     build_csc_formula,
-    formula_stats,
 )
 from repro.csc.values import edge_compatible
 from repro.sat import solve
@@ -35,9 +34,8 @@ class TestBuild:
 
     def test_formula_stats(self):
         formula = build_csc_formula(conflict_graph(), 1)
-        num_vars, num_clauses = formula_stats(formula)
-        assert num_vars == formula.num_vars
-        assert num_clauses == formula.num_clauses
+        assert formula.num_vars == formula.cnf.num_vars
+        assert formula.num_clauses == formula.cnf.num_clauses
 
     def test_conflicts_found_automatically(self):
         formula = build_csc_formula(conflict_graph(), 1)

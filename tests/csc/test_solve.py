@@ -124,6 +124,22 @@ class TestIncrementalLoop:
         assert outcome.m == 1
         assert outcome.attempts[-1].metrics["incremental_solves"] == 0
 
+    def test_oneshot_retry_core_does_not_skip_permissive(self):
+        # The banned variant of m=1 is UNSAT and the permissive one SAT.
+        # An injected limit sends the banned attempt to a one-shot CDCL
+        # retry, whose UNSAT carries an empty core for *its own* CNF;
+        # that must not count as a refutation of the permissive variant.
+        from repro.runtime import faults
+
+        with faults.injected("solver-limit", times=1):
+            outcome = solve_state_signals(
+                conflict_graph(), engine="cdcl", on_limit="skip"
+            )
+        assert outcome.m == 1
+        assert [(a.m, a.status) for a in outcome.attempts] == [
+            (1, "unsat"), (1, "sat"),
+        ]
+
     def test_limit_falls_back_to_oneshot(self):
         # One injected budget exhaustion on the incremental attempt:
         # the loop must retry that attempt one-shot and still succeed.

@@ -164,3 +164,37 @@ def test_workers_collectively_respect_parent_pool():
     for worker in slices:
         budget.charge_backtracks(worker.max_backtracks)
     assert budget.remaining_backtracks() == 0
+
+
+def test_pool_is_charged_every_engine_call(monkeypatch):
+    # Tiny per-solve limits send incremental attempts to one-shot
+    # retries and up the escalation ladder; the run-wide pool must be
+    # charged the conflicts of every engine call, not just the last
+    # call of each attempt.
+    import repro.sat
+    from repro.bench.suite import load_benchmark
+    from repro.csc import modular_synthesis
+    from repro.runtime.options import SynthesisOptions
+    from repro.sat.incremental import IncrementalSolver
+
+    performed = []
+
+    def counted(owner, name):
+        engine = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            result = engine(*args, **kwargs)
+            performed.append((name, result.backtracks))
+            return result
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(IncrementalSolver, "solve")  # incremental and one-shot CDCL
+    counted(repro.sat, "solve")  # DPLL
+    counted(repro.sat, "solve_bdd")
+    budget = Budget(max_backtracks=10**7)
+    modular_synthesis(load_benchmark("mmu1"), options=SynthesisOptions(
+        limits=Limits(max_backtracks=3), budget=budget, fallback=True,
+    ))
+    assert any(name == "solve" and spent for name, spent in performed)
+    assert budget.backtracks_used == sum(spent for _, spent in performed)

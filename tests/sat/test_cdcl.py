@@ -70,6 +70,17 @@ class TestLearning:
         assert result.status == LIMIT
 
 
+class TestOneShot:
+    def test_fresh_solver_reports_no_reuse(self):
+        # A one-shot solve reuses nothing, so the counters that measure
+        # reuse of a persistent solver stay out of its metrics.
+        result = solve_cdcl(pigeonhole(5))
+        assert result.status == UNSAT
+        assert result.backtracks > 0
+        assert "incremental_solves" not in result.metrics
+        assert "learned_kept" not in result.metrics
+
+
 class TestSolveWith:
     def test_engines_agree(self):
         cnf = make_cnf(3, [[1, 2], [-1, 3], [-2, -3]])

@@ -1,17 +1,17 @@
 """Regression: wall-clock deadlines fire on conflict-free stretches.
 
-Both search engines used to consult ``Limits.max_seconds`` only when a
-conflict occurred, so a long decide/propagate run with no conflicts
-sailed past the deadline.  These tests pin the fix -- a stride-based
-check on decisions -- with an injected always-expired clock and a
-conflict-free formula: without the stride the runs would return SAT,
-never having looked at the clock.
+Both search engines -- the chronological DPLL and the one CDCL,
+:class:`~repro.sat.incremental.IncrementalSolver` -- used to consult
+``Limits.max_seconds`` only when a conflict occurred, so a long
+decide/propagate run with no conflicts sailed past the deadline.  These
+tests pin the fix -- a stride-based check on decisions -- with an
+injected always-expired clock and a conflict-free formula: without the
+stride the runs would return SAT, never having looked at the clock.
 """
 
 import pytest
 
-from repro.sat import Cnf, Limits
-from repro.sat.cdcl import solve_cdcl
+from repro.sat import Cnf, Limits, solve_cdcl
 from repro.sat.solver import LIMIT, solve
 
 
@@ -40,7 +40,7 @@ def conflict_free_cnf():
 
 @pytest.mark.parametrize(
     "module, engine",
-    [("repro.sat.solver", solve), ("repro.sat.cdcl", solve_cdcl)],
+    [("repro.sat.solver", solve), ("repro.sat.incremental", solve_cdcl)],
     ids=["dpll", "cdcl"],
 )
 def test_deadline_fires_without_conflicts(monkeypatch, module, engine):

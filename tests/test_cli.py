@@ -36,9 +36,19 @@ def test_methods(spec, capsys):
 
 
 def test_engines(spec, capsys):
-    for engine in ("dpll", "cdcl", "bdd"):
-        assert main([spec, "--engine", engine, "--quiet"]) == 0
-        assert engine in capsys.readouterr().out
+    # The summary names the solver that ran: the incremental core for
+    # the engines it serves under the default sat mode, else the engine.
+    for engine, mode, solver in (
+        ("dpll", "incremental", "dpll"),
+        ("cdcl", "incremental", "incremental"),
+        ("hybrid", "incremental", "incremental"),
+        ("bdd", "incremental", "bdd"),
+        ("cdcl", "oneshot", "cdcl"),
+        ("hybrid", "oneshot", "hybrid"),
+    ):
+        argv = [spec, "--engine", engine, "--sat-mode", mode, "--quiet"]
+        assert main(argv) == 0
+        assert f"(modular/{solver}, " in capsys.readouterr().out
 
 
 def test_blif_output(spec, tmp_path, capsys):
