@@ -106,8 +106,9 @@ def lavagno_synthesis(stg, options=None):
     options:
         A :class:`~repro.runtime.options.SynthesisOptions`; this method
         reads ``limits`` (SAT budget per round), ``minimize`` (also
-        derive covers and literal counts), ``engine`` and
-        ``signal_prefix`` (default ``"lm"``).
+        derive covers and literal counts), ``engine``,
+        ``signal_prefix`` (default ``"lm"``) and ``budget`` (checked
+        only during minimisation).
 
     Returns
     -------
@@ -178,7 +179,7 @@ def lavagno_synthesis(stg, options=None):
         from repro.logic.extract import synthesize_logic
 
         with obs.span("minimize"):
-            covers, literals = synthesize_logic(expanded)
+            covers, literals = synthesize_logic(expanded, budget=opts.budget)
     return LavagnoResult(
         graph, expanded, assignment, rounds, covers, literals,
         watch.elapsed(),

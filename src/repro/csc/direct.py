@@ -181,7 +181,7 @@ def direct_synthesis(stg, options=None):
         from repro.logic.extract import synthesize_logic
 
         with obs.span("minimize"):
-            covers, literals = synthesize_logic(expanded)
+            covers, literals = synthesize_logic(expanded, budget=budget)
     return DirectResult(
         graph, expanded, assignment, outcome.attempts, covers, literals,
         watch.elapsed(),

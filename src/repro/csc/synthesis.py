@@ -290,10 +290,8 @@ def modular_synthesis(stg, options=None):
         if opts.minimize:
             from repro.logic.extract import synthesize_logic
 
-            if budget is not None:
-                budget.checkpoint("minimize")
             with obs.span("minimize"):
-                covers, literals = synthesize_logic(expanded)
+                covers, literals = synthesize_logic(expanded, budget=budget)
     except BudgetExhaustedError as exc:
         # Leave a faithful partial record: everything not yet finished is
         # skipped, and the report travels on the exception.

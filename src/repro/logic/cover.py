@@ -15,6 +15,29 @@ _CHARS = {0: "0", 1: "1", DASH: "-"}
 _VALUES = {"0": 0, "1": 1, "-": DASH, "2": DASH}
 
 
+def cube_masks(positions):
+    """``(value, care)`` bit masks of positional cube entries.
+
+    Bit ``i`` of ``care`` is set when position ``i`` is a literal, and
+    bit ``i`` of ``value`` when that literal is 1.  A minterm (every
+    position 0/1) has ``care`` all ones and ``value`` its integer code,
+    so state vectors encode through here too.  Entries outside
+    ``{0, 1, DASH}`` raise :class:`ValueError`.
+    """
+    value = care = 0
+    bit = 1
+    for p in positions:
+        if p == 1:
+            value |= bit
+            care |= bit
+        elif p == 0:
+            care |= bit
+        elif p != DASH:
+            raise ValueError(f"bad cube entry {p!r}")
+        bit <<= 1
+    return value, care
+
+
 class Cube:
     """An immutable product term in positional notation.
 
@@ -56,6 +79,18 @@ class Cube:
     def from_minterm(cls, bits):
         """A cube with every variable bound (a minterm)."""
         return cls(bits)
+
+    @classmethod
+    def from_masks(cls, value, care, n):
+        """The cube whose ``(value, care)`` bit masks are given.
+
+        The inverse of :func:`cube_masks`: bit ``i`` of ``care`` binds
+        variable ``i`` to bit ``i`` of ``value``.
+        """
+        return cls(
+            (1 if value >> i & 1 else 0) if care >> i & 1 else DASH
+            for i in range(n)
+        )
 
     @property
     def n(self):

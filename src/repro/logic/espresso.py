@@ -8,14 +8,20 @@ prime against the OFF-set, extract an IRREDUNDANT subset, REDUCE cubes to
 the smallest cube covering their essential minterms, and iterate while
 the literal count improves.
 
-Internally cubes are ``(value, care)`` integer bit masks, which keeps the
-inner containment checks O(1); the public API speaks
+Internally cubes are ``(value, care)`` integer bit masks
+(:func:`~repro.logic.cover.cube_masks`), and minterm *sets* are bit
+columns: for each variable and polarity one integer whose bit ``k``
+stands for minterm ``k`` of the ON- or OFF-set.  The minterms a cube
+contains are then the AND of the columns of its literals, so "does this
+cube hit the OFF-set?" and "which ON minterms does it cover?" cost at
+most one big-integer AND per literal instead of a scan over the
+minterms.  The public API speaks
 :class:`~repro.logic.cover.Cube`/:class:`~repro.logic.cover.Cover`.
 """
 
 from __future__ import annotations
 
-from repro.logic.cover import DASH, Cover, Cube
+from repro.logic.cover import Cover, Cube, cube_masks
 
 _MAX_ROUNDS = 6
 
@@ -47,22 +53,24 @@ def espresso(onset, offset, n):
         return Cover(n)
 
     full_mask = (1 << n) - 1
+    on = _MintermSet(on_ints, n)
+    off = _MintermSet(off_ints, n)
     cubes = [(m, full_mask) for m in on_ints]
 
     best = None
     for round_index in range(_MAX_ROUNDS):
         order = _var_order(n, round_index)
-        cubes = _expand(cubes, off_ints, order)
+        cubes = _expand(cubes, off, order)
         cubes = _remove_covered(cubes)
-        cubes = _irredundant(cubes, on_ints)
+        cubes = _irredundant(cubes, on)
         cost = _cost(cubes)
         if best is None or cost < best[0]:
             best = (cost, list(cubes))
         else:
             break
-        cubes = _reduce(cubes, on_ints, full_mask)
+        cubes = _reduce(cubes, on)
     cubes = best[1]
-    return Cover(n, (_to_cube(value, care, n) for value, care in cubes))
+    return Cover(n, (Cube.from_masks(value, care, n) for value, care in cubes))
 
 
 def verify_cover(cover, onset, offset):
@@ -87,24 +95,44 @@ def verify_cover(cover, onset, offset):
 def _to_int(bits, n):
     if len(bits) != n:
         raise ValueError(f"minterm {bits} does not have {n} bits")
-    value = 0
-    for i, bit in enumerate(bits):
-        if bit not in (0, 1):
-            raise ValueError(f"minterm {bits} has non-binary entry")
-        if bit:
-            value |= 1 << i
+    try:
+        value, care = cube_masks(bits)
+    except ValueError:  # an entry outside {0, 1, DASH}
+        care = None
+    if care != (1 << n) - 1:
+        raise ValueError(f"minterm {bits} has non-binary entry")
     return value
 
 
-def _to_cube(value, care, n):
-    positions = []
-    for i in range(n):
-        bit = 1 << i
-        if care & bit:
-            positions.append(1 if value & bit else 0)
-        else:
-            positions.append(DASH)
-    return Cube(positions)
+class _MintermSet:
+    """A sorted minterm list as per-variable bit columns.
+
+    ``ones[i]`` has bit ``k`` set when ``minterms[k]`` has variable ``i``
+    at 1, ``zeros[i]`` when it has it at 0, and ``all`` has every
+    minterm's bit set.
+    """
+
+    def __init__(self, minterms, n):
+        self.minterms = minterms
+        self.all = (1 << len(minterms)) - 1
+        # Transpose with zip: row k is minterm k's n bits, variable n-1
+        # first (the leading sentinel 1 fixes the width, even at n = 0);
+        # reversing each column puts minterm 0 at bit 0.
+        rows = [format(m | 1 << n, "b")[1:] for m in minterms]
+        self.ones = [
+            int("".join(column)[::-1], 2) for column in zip(*rows)
+        ][::-1] if minterms else [0] * n
+        self.zeros = [self.all & ~column for column in self.ones]
+
+    def inside(self, value, care):
+        """Bitset of the minterms inside cube ``(value, care)``."""
+        inside = self.all
+        while care and inside:
+            low = care & -care
+            i = low.bit_length() - 1
+            inside &= self.ones[i] if value & low else self.zeros[i]
+            care ^= low
+        return inside
 
 
 def _var_order(n, round_index):
@@ -116,133 +144,144 @@ def _var_order(n, round_index):
     return order
 
 
-def _intersects_offset(value, care, off_ints):
-    for m in off_ints:
-        if not (m ^ value) & care:
-            return True
-    return False
+def _expand(cubes, off, order):
+    """Raise every cube to a prime against the OFF-set.
 
-
-def _expand(cubes, off_ints, order):
-    """Raise every cube to a prime against the OFF-set."""
+    Literals are tried in ``order``.  When a literal is tried, the raised
+    candidate keeps the literals kept before it and every literal after
+    it, so the OFF minterms inside the candidate are ``kept & rest``: the
+    AND of the kept literals' columns (grown as literals are kept) with
+    a suffix AND over the later literals (computed once per cube).  One
+    AND per trial.
+    """
     expanded = []
     for value, care in cubes:
-        for i in order:
-            bit = 1 << i
-            if not care & bit:
-                continue
-            new_care = care & ~bit
-            if not _intersects_offset(value & new_care, new_care, off_ints):
-                care = new_care
-                value &= new_care
-        expanded.append((value, care))
+        literals = [i for i in order if care >> i & 1]
+        columns = [
+            off.ones[i] if value >> i & 1 else off.zeros[i] for i in literals
+        ]
+        after = [off.all] * len(literals)
+        for t in range(len(literals) - 1, 0, -1):
+            after[t - 1] = after[t] & columns[t]
+        kept = off.all
+        for i, column, rest in zip(literals, columns, after):
+            if kept & rest:
+                kept &= column  # raising i would hit the OFF-set
+            else:
+                care &= ~(1 << i)
+        expanded.append((value & care, care))
     return expanded
 
 
-def _covers(a, b):
-    """Cube ``a`` covers cube ``b``."""
-    value_a, care_a = a
-    value_b, care_b = b
-    return not (care_a & ~care_b) and not ((value_a ^ value_b) & care_a)
-
-
 def _remove_covered(cubes):
-    result = []
-    for i, cube in enumerate(cubes):
-        redundant = False
-        for j, other in enumerate(cubes):
-            if j == i:
-                continue
-            if other == cube:
-                if j < i:  # keep only the first duplicate
-                    redundant = True
-                    break
-                continue
-            if _covers(other, cube):
-                redundant = True
-                break
-        if not redundant:
-            result.append(cube)
-    return result
-
-
-def _coverage(cubes, on_ints):
-    """For each ON minterm, the indices of cubes containing it."""
-    table = {}
-    for m in on_ints:
-        covering = [
-            index
-            for index, (value, care) in enumerate(cubes)
-            if not (m ^ value) & care
-        ]
-        if not covering:
-            raise AssertionError(
-                f"minimizer invariant broken: ON minterm {m} uncovered"
-            )
-        table[m] = covering
-    return table
-
-
-def _irredundant(cubes, on_ints):
-    """Greedy minimal subset: essentials first, then largest gain."""
-    table = _coverage(cubes, on_ints)
-    chosen = set()
-    for m, covering in table.items():
-        if len(covering) == 1:
-            chosen.add(covering[0])
-    uncovered = {
-        m for m, covering in table.items()
-        if not any(index in chosen for index in covering)
-    }
-    while uncovered:
-        gains = {}
-        for m in uncovered:
-            for index in table[m]:
-                gains[index] = gains.get(index, 0) + 1
-        # Largest gain; ties broken by fewer literals (more dashes).
-        best_index = max(
-            gains,
-            key=lambda index: (gains[index], -_bit_count(cubes[index][1])),
+    """Drop repeated cubes (keeping the first) and strictly covered ones."""
+    unique = list(dict.fromkeys(cubes))
+    return [
+        (value, care)
+        for value, care in unique
+        if not any(
+            (other_care != care or other_value != value)
+            and not other_care & ~care
+            and not (other_value ^ value) & other_care
+            for other_value, other_care in unique
         )
+    ]
+
+
+def _irredundant(cubes, on):
+    """Greedy minimal subset: essentials first, then largest gain.
+
+    ``covered[j]`` is the bitset of ON minterms inside cube ``j``.  Ties
+    on gain and size go to the cube the scan-based formulation met first:
+    walking the uncovered minterms in the iteration order of a Python
+    set of their codes, each minterm's cubes by index.  The set is
+    therefore kept, built and filtered exactly as that formulation did.
+    """
+    covered = [on.inside(value, care) for value, care in cubes]
+    once = twice = 0
+    for bits in covered:
+        twice |= once & bits
+        once |= bits
+    if once != on.all:
+        first = (on.all & ~once & -(on.all & ~once)).bit_length() - 1
+        raise AssertionError(
+            f"minimizer invariant broken: ON minterm {on.minterms[first]} "
+            "uncovered"
+        )
+    sole = once & ~twice
+    chosen = {j for j, bits in enumerate(covered) if bits & sole}
+    chosen_bits = 0
+    for j in chosen:
+        chosen_bits |= covered[j]
+    uncovered_bits = on.all & ~chosen_bits
+    uncovered = {
+        m for k, m in enumerate(on.minterms) if uncovered_bits >> k & 1
+    }
+    position = {m: k for k, m in enumerate(on.minterms)}
+    while uncovered_bits:
+        best_key = None
+        tied = []
+        for j, bits in enumerate(covered):
+            gain_bits = bits & uncovered_bits
+            if not gain_bits:
+                continue
+            # Largest gain; ties broken by fewer literals (more dashes).
+            key = (_bit_count(gain_bits), -_bit_count(cubes[j][1]))
+            if best_key is None or key > best_key:
+                best_key, tied = key, [j]
+            elif key == best_key:
+                tied.append(j)
+        best_index = tied[0]
+        if len(tied) > 1:
+            tied_bits = 0
+            for j in tied:
+                tied_bits |= covered[j]
+            for m in uncovered:
+                k = position[m]
+                if tied_bits >> k & 1:
+                    best_index = next(
+                        j for j in tied if covered[j] >> k & 1
+                    )
+                    break
         chosen.add(best_index)
-        uncovered = {
-            m for m in uncovered
-            if best_index not in table[m]
-        }
+        value, care = cubes[best_index]
+        uncovered = {m for m in uncovered if (m ^ value) & care}
+        uncovered_bits &= ~covered[best_index]
     return [cube for index, cube in enumerate(cubes) if index in chosen]
 
 
-def _reduce(cubes, on_ints, full_mask):
+def _reduce(cubes, on):
     """Shrink each cube onto the ON minterms it alone is responsible for.
 
     Processed sequentially so the cover property is preserved: a cube only
     sheds minterms that some *current* other cube still covers.
     """
     current = list(cubes)
+    covered = [on.inside(value, care) for value, care in current]
+    # later[i]: union of the cubes after i, none of them reduced yet.
+    later = [0] * (len(current) + 1)
+    for index in range(len(current) - 1, -1, -1):
+        later[index] = later[index + 1] | covered[index]
+    earlier = 0
     for index in range(len(current)):
-        value, care = current[index]
-        mine = []
-        for m in on_ints:
-            if (m ^ value) & care:
-                continue
-            if not any(
-                not (m ^ ov) & oc
-                for j, (ov, oc) in enumerate(current)
-                if j != index
-            ):
-                mine.append(m)
+        mine = covered[index] & ~(earlier | later[index + 1])
         if mine:
-            current[index] = _supercube(mine, full_mask)
+            current[index] = _supercube(mine, on)
+            covered[index] = on.inside(*current[index])
+        earlier |= covered[index]
     return current
 
 
-def _supercube(minterms, full_mask):
-    first = minterms[0]
-    diff = 0
-    for m in minterms[1:]:
-        diff |= first ^ m
-    care = full_mask & ~diff
-    return (first & care, care)
+def _supercube(members, on):
+    """Smallest cube containing the ON minterms in bitset ``members``."""
+    value = care = 0
+    for i, ones in enumerate(on.ones):
+        if not members & ~ones:
+            value |= 1 << i
+            care |= 1 << i
+        elif not members & ones:
+            care |= 1 << i
+    return (value, care)
 
 
 def _cost(cubes):

@@ -54,12 +54,14 @@ def next_state_tables(graph, signals=None):
     return tables
 
 
-def synthesize_logic(graph, signals=None):
+def synthesize_logic(graph, signals=None, budget=None):
     """Minimised single-output covers for each non-input signal.
 
     This mirrors the paper's use of ``espresso -Dso -S1``: every output is
     minimised separately and the area is the summed literal count of the
-    unfactored covers.
+    unfactored covers.  With a :class:`~repro.runtime.budget.Budget`,
+    each signal's extraction and minimisation is preceded by a
+    checkpoint named ``"minimize"``.
 
     Returns
     -------
@@ -67,8 +69,12 @@ def synthesize_logic(graph, signals=None):
         ``covers[signal] -> Cover`` and the total literal count.
     """
     n = len(graph.signals)
+    chosen = sorted(graph.non_inputs) if signals is None else list(signals)
     covers = {}
-    for signal, (onset, offset) in next_state_tables(graph, signals).items():
+    for signal in chosen:
+        if budget is not None:
+            budget.checkpoint("minimize")
+        onset, offset = next_state_tables(graph, [signal])[signal]
         covers[signal] = espresso(onset, offset, n)
     total = sum(cover.literals for cover in covers.values())
     return covers, total

@@ -8,6 +8,8 @@ signals' covers feed back like any other signal).
 
 from __future__ import annotations
 
+from repro.logic.cover import Cover, cube_masks
+
 
 class Circuit:
     """Next-state functions over an ordered signal vector.
@@ -35,7 +37,11 @@ class Circuit:
         missing = set(self.non_inputs) - set(covers)
         if missing:
             raise ValueError(f"covers missing for: {sorted(missing)}")
-        self.covers = {s: covers[s] for s in self.non_inputs}
+        # Copies: a Cover is mutable, and the compiled masks below must
+        # keep describing the covers the circuit reports.
+        self.covers = {
+            s: Cover(covers[s].n, covers[s]) for s in self.non_inputs
+        }
         for signal, cover in self.covers.items():
             if cover.n != len(self.signals):
                 raise ValueError(
@@ -43,6 +49,15 @@ class Circuit:
                     f"expected {len(self.signals)}"
                 )
         self._index = {s: i for i, s in enumerate(self.signals)}
+        #: signal -> the ``(value, care)`` masks of its cover's cubes.
+        self._masks = {
+            signal: [cube_masks(cube) for cube in cover]
+            for signal, cover in self.covers.items()
+        }
+        self._gates = [
+            (signal, self._index[signal], self._masks[signal])
+            for signal in self.non_inputs
+        ]
 
     @classmethod
     def from_synthesis(cls, result, stg_inputs):
@@ -65,14 +80,15 @@ class Circuit:
 
     def next_value(self, signal, vector):
         """The gate output of ``signal`` for the given value vector."""
-        return self.covers[signal].evaluate(vector)
+        return _evaluate(self._masks[signal], cube_masks(vector)[0])
 
     def excited(self, vector):
         """Non-input signals whose gate output differs from their value."""
+        code = cube_masks(vector)[0]
         return [
             signal
-            for signal in self.non_inputs
-            if self.next_value(signal, vector) != vector[self._index[signal]]
+            for signal, i, masks in self._gates
+            if _evaluate(masks, code) != vector[i]
         ]
 
     def fire(self, vector, signal):
@@ -85,3 +101,11 @@ class Circuit:
             f"Circuit(signals={len(self.signals)}, "
             f"gates={len(self.non_inputs)})"
         )
+
+
+def _evaluate(masks, code):
+    """0/1 value of a cover, given as cube masks, on an encoded vector."""
+    for value, care in masks:
+        if not (code ^ value) & care:
+            return 1
+    return 0

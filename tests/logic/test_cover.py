@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.logic.cover import DASH, Cover, Cube
+from repro.logic.cover import DASH, Cover, Cube, cube_masks
 
 
 class TestCubeBasics:
@@ -94,6 +94,25 @@ class TestCover:
         assert Cover.from_strings(2, ["1-", "-1"]) == Cover.from_strings(
             2, ["-1", "1-"]
         )
+
+
+class TestMasks:
+    def test_minterm_encodes_to_its_code(self):
+        # Variable i is bit i.
+        assert cube_masks((1, 0, 1, 1)) == (0b1101, 0b1111)
+        assert cube_masks(()) == (0, 0)
+
+    def test_dash_leaves_care_clear(self):
+        assert cube_masks(Cube.parse("1-0")) == (0b001, 0b101)
+
+    def test_bad_entry(self):
+        with pytest.raises(ValueError):
+            cube_masks((1, 3))
+
+    @pytest.mark.parametrize("text", ["", "-", "1-0", "0101", "----"])
+    def test_from_masks_inverts_cube_masks(self, text):
+        cube = Cube.parse(text)
+        assert Cube.from_masks(*cube_masks(cube), len(text)) == cube
 
 
 bits3 = st.tuples(*(st.integers(0, 1) for _ in range(3)))

@@ -198,3 +198,42 @@ def test_pool_is_charged_every_engine_call(monkeypatch):
     ))
     assert any(name == "solve" and spent for name, spent in performed)
     assert budget.backtracks_used == sum(spent for _, spent in performed)
+
+
+@pytest.mark.parametrize("method", ["modular", "direct", "lavagno"])
+def test_deadline_after_first_signal_stops_minimisation(monkeypatch, method):
+    # The fake clock only moves when a signal has been minimised, so
+    # every earlier checkpoint passes and the second signal's
+    # "minimize" checkpoint is the first to see the deadline gone.
+    from repro.baselines import lavagno_synthesis
+    from repro.csc import direct_synthesis, modular_synthesis
+    from repro.logic import extract
+    from repro.runtime.options import SynthesisOptions
+    from repro.stg import parse_g
+
+    from tests.example_stgs import CSC_CONFLICT
+
+    clock = FakeClock()
+    budget = Budget(max_seconds=5.0, clock=clock)
+    minimised = []
+    espresso = extract.espresso
+
+    def espresso_then_expire(onset, offset, n):
+        minimised.append(n)
+        clock.advance(10.0)
+        return espresso(onset, offset, n)
+
+    monkeypatch.setattr(extract, "espresso", espresso_then_expire)
+    synthesise = {
+        "modular": modular_synthesis,
+        "direct": direct_synthesis,
+        "lavagno": lavagno_synthesis,
+    }[method]
+    with pytest.raises(BudgetExhaustedError) as excinfo:
+        synthesise(
+            parse_g(CSC_CONFLICT), options=SynthesisOptions(budget=budget)
+        )
+    assert excinfo.value.point == "minimize"
+    assert excinfo.value.resource == "wall-clock"
+    assert budget.exhausted_at == "minimize"
+    assert len(minimised) == 1
