@@ -9,30 +9,34 @@ path or mtime: the key of every record is a SHA-256 over
   :class:`~repro.stategraph.graph.StateGraph`;
 * an **options fingerprint** -- every
   :class:`~repro.runtime.options.SynthesisOptions` field that can change
-  the result (``budget``, ``jobs``, ``cache_dir``, ``cache_max_bytes``,
-  ``retries`` and ``retry_backoff`` are deliberately excluded: they
-  change *how fast* a result is produced, never *what* is produced --
-  that is the determinism contract of ``docs/parallelism.md``);
+  the result (``budget``, ``cache_dir``, ``cache_max_bytes`` and
+  ``verify_level`` are deliberately excluded: they change *how* a
+  result is produced or checked, never *what* is produced -- that is
+  the determinism contract of ``docs/parallelism.md``);
 * a **code version salt** (:data:`CACHE_SALT`), bumped whenever solver
-  or propagation logic changes meaning, so stale caches self-invalidate
-  instead of replaying results of old code.
+  or propagation logic changes meaning, or a cached class changes
+  shape, so stale caches self-invalidate instead of replaying results
+  of old code.
 
 Two record kinds share one store:
 
-``module``
-    One output's :class:`~repro.csc.modular.PartitionResult`, solved
-    against the *empty* assignment (the only assignment state that is a
-    pure function of the input).  Keyed additionally by the output name.
 ``artifact``
-    A whole :class:`~repro.csc.synthesis.ModularResult` (minus the
-    state graphs, which are reattached on load), keyed by method name.
-    A warm hit skips the entire run and reproduces byte-identical CLI
-    output, including the recorded wall-clock time of the original run.
+    A whole :class:`~repro.csc.synthesis.ModularResult`, keyed by
+    method name.  A warm hit skips the entire run and reproduces
+    byte-identical CLI output, including the recorded wall-clock time
+    of the original run.
+``response``
+    A whole serialized service response (:mod:`repro.service`), keyed
+    by :meth:`~repro.api.SynthesisRequest.fingerprint`.
+
+The store API itself is kind-generic (:meth:`ResultCache.get` /
+:meth:`ResultCache.put` take the kind), so these two are conventions
+of their writers, not a closed set.
 
 Concurrency contract
 --------------------
-The store is safe for **concurrent multi-process** use -- parallel
-synthesis workers, bench shards and overlapping CLI runs may share one
+The store is safe for **concurrent multi-process** use -- service
+workers, bench shards and overlapping CLI runs may share one
 cache directory (``docs/robustness.md``):
 
 * Records live in a sharded two-level layout
@@ -90,15 +94,15 @@ from repro.runtime import faults
 #: Version salt baked into every record.  Bump when a change to solver,
 #: propagation, repair or minimisation logic makes previously cached
 #: results meaningless.
-CACHE_SALT = "repro-result-cache/2"
+CACHE_SALT = "repro-result-cache/3"
 
 #: Record filename suffix.
 RECORD_SUFFIX = ".rec"
 
 #: SynthesisOptions fields that parameterise *what* is computed.  The
-#: excluded fields (``budget``, ``jobs``, ``cache_dir``,
-#: ``cache_max_bytes``, ``retries``, ``retry_backoff``) only change how
-#: the computation is scheduled.
+#: excluded fields (``budget``, ``cache_dir``, ``cache_max_bytes``,
+#: ``verify_level``) only change how the computation is scheduled or
+#: checked.
 _FINGERPRINT_FIELDS = (
     "minimize", "max_signals", "output_order", "signal_prefix",
     "engine", "polish", "fallback", "degrade", "sat_mode",

@@ -30,9 +30,10 @@ database.  Between calls everything expensive survives:
 
 Branching is VSIDS over an indexed max-heap (:class:`_VarHeap`) --
 ``O(log n)`` per decision instead of an ``O(num_vars)`` activity scan
--- with ties broken towards the lowest variable index, so two runs over the same clause stream make
-identical decisions and the serial/parallel bit-identity contract of
-``docs/parallelism.md`` survives.  Restarts follow the Luby sequence.
+-- with ties broken towards the lowest variable index, so two runs
+over the same clause stream make identical decisions and the
+determinism contract of ``docs/parallelism.md`` survives.  Restarts
+follow the Luby sequence.
 
 On UNSAT under assumptions the solver extracts the **failed-assumption
 core**: the subset of assumptions that the refutation actually used

@@ -28,23 +28,22 @@ request from being computed twice:
    even reformatted -- replays the stored bytes without touching a
    worker.  Budgeted requests (``timeout_seconds`` set) are never
    cached: a wall-clock-bounded outcome is not a pure function of the
-   input (the same contract the module/artifact cache enforces).
+   input (the same contract the artifact cache enforces).
 2. **In-flight coalescing** -- concurrent identical requests
    single-flight on the leader's future; followers are counted as
    ``service_inflight_dedup`` and served the ``"hit"``-tier bytes.
 3. **Worker caches** -- executing workers share the same cache
-   directory for module/artifact records, so even a fresh request
-   benefits from previously solved modules.
+   directory for whole-result ``artifact`` records, so a request that
+   misses the response tier (another ``verify_level``, or a budgeted
+   request) can still skip synthesis.
 
 HTTP status codes classify *transport* outcomes only: a synthesis
 error or timeout is still a valid API response (200) carrying its own
 ``status``/``exit_code``; 4xx means the request never reached a worker
 (malformed document, invalid STG); 5xx is reserved for infrastructure
 failure -- a worker pool that kept dying past the
-:class:`~repro.runtime.supervise.RetryPolicy` budget.  A dead pool is
-respawned with the policy's deterministic backoff
-(``service_worker_respawns``), mirroring the supervised module
-dispatch.
+:class:`RetryPolicy` budget.  A dead pool is respawned with the
+policy's deterministic backoff (``service_worker_respawns``).
 
 Observability: each request runs under a ``service_request`` span (so
 ``--trace`` journals the service like any run), latencies land in the
@@ -56,6 +55,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import hashlib
 import json
 import os
 import sys
@@ -66,6 +66,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
+from dataclasses import dataclass
 
 from repro import api, obs
 from repro.errors import ReproError
@@ -73,7 +74,66 @@ from repro.obs.export import prometheus_text
 from repro.obs.metrics import Counters, Histogram
 from repro.obs.profile import with_derived
 from repro.perf.result_cache import ResultCache
-from repro.runtime.supervise import RetryPolicy, WorkerCrashError
+
+
+class WorkerCrashError(ReproError):
+    """The worker pool kept dying on one request past the retry budget.
+
+    Carries ``kind="worker"`` so an infrastructure death is classified
+    apart from a solve failure; the service answers it with HTTP 500.
+    """
+
+    kind = "worker"
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """How often, and after what pause, the service respawns its pool.
+
+    Parameters
+    ----------
+    retries:
+        Resubmissions of a request *beyond the first* after its worker
+        pool broke.  ``0`` turns the first crash into HTTP 500.
+    backoff:
+        Base delay in seconds before the first retry; each later retry
+        doubles it (exponential backoff).
+    backoff_cap:
+        Upper bound on any single delay.
+    seed:
+        Mixed into the deterministic jitter, so two runs of the same
+        workload sleep the same schedule.
+    """
+
+    retries: int = 2
+    backoff: float = 0.05
+    backoff_cap: float = 2.0
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, not {self.retries!r}")
+        if self.backoff < 0:
+            raise ValueError(
+                f"backoff must be >= 0, not {self.backoff!r}"
+            )
+
+    def delay(self, attempt, token=""):
+        """Seconds to sleep before retry ``attempt`` (1-based).
+
+        ``min(cap, backoff * 2**(attempt-1))`` scaled by a deterministic
+        jitter in ``[0.5, 1.0)`` derived from ``(seed, token, attempt)``
+        -- repeatable across runs, de-synchronised across tokens.
+        """
+        if attempt < 1:
+            raise ValueError("attempt numbers start at 1")
+        base = min(self.backoff_cap, self.backoff * (2 ** (attempt - 1)))
+        digest = hashlib.sha256(
+            f"{self.seed}\x1f{token}\x1f{attempt}".encode("utf-8")
+        ).digest()
+        fraction = int.from_bytes(digest[:4], "big") / 2 ** 32
+        return base * (0.5 + fraction / 2)
+
 
 #: Result-cache record kind holding whole serialized responses.
 RESPONSE_KIND = "response"
@@ -119,7 +179,7 @@ def parse_request(body):
     return api.SynthesisRequest(g_text=body)
 
 
-def _execute_request(document, jobs=1, cache_dir=None, verify=True):
+def _execute_request(document, cache_dir=None, verify=True):
     """Run one request end to end; returns the response as a
     ``repro-api/1`` dict.
 
@@ -133,7 +193,7 @@ def _execute_request(document, jobs=1, cache_dir=None, verify=True):
 
     request = api.from_json(document)
     stg = parse_g(request.g_text)
-    options = request.to_options(jobs=jobs, cache_dir=cache_dir)
+    options = request.to_options(cache_dir=cache_dir)
     if not verify:
         # Server-side opt-out (--no-verify): downgrade to the static
         # CSC re-check regardless of what the request asked for.
@@ -151,11 +211,11 @@ class SynthesisService:
     cache_dir:
         Shared :class:`~repro.perf.result_cache.ResultCache` directory.
         ``None`` disables response replay (responses report
-        ``cache="off"``) and worker-side module/artifact caching.
+        ``cache="off"``) and worker-side artifact caching.
     jobs:
         Worker pool width -- the bound on concurrently *executing*
-        requests (each worker runs synthesis with ``jobs=1``; the
-        service parallelises across requests, not within one).
+        requests (the service parallelises across requests; each
+        request runs the serial pipeline).
     verify:
         Honour each request's ``verify_level`` (default ``"hazards"``:
         gate-level conformance plus persistency) and record the verdict
@@ -167,8 +227,8 @@ class SynthesisService:
         factory returning a :class:`concurrent.futures.Executor` (used
         for every (re)spawn).
     retry:
-        :class:`~repro.runtime.supervise.RetryPolicy` governing pool
-        respawns after a worker crash; defaults to ``RetryPolicy()``.
+        :class:`RetryPolicy` governing pool respawns after a worker
+        crash; defaults to ``RetryPolicy()``.
     """
 
     def __init__(self, cache_dir=None, jobs=1, verify=True,

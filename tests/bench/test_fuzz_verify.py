@@ -23,7 +23,7 @@ def _load(name):
 fuzz_verify = _load("fuzz_verify")
 bench_trend = _load("bench_trend")
 
-#: One full pass over the synthesis matrix (8 cells).
+#: One full pass over the synthesis matrix (6 cells).
 COUNT = len(fuzz_verify.MATRIX)
 
 
@@ -40,7 +40,6 @@ def test_campaign_is_clean_and_covers_the_matrix(document):
     assert {r["method"] for r in document["rows"]} == {
         "modular", "direct", "lavagno"
     }
-    assert any(r["jobs"] == 2 for r in document["rows"])
     assert len(document["table1"]) == 23
     assert all(r["verdict"] is True for r in document["table1"])
     assert document["mutants"]["caught"] >= 1

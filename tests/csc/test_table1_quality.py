@@ -16,6 +16,7 @@ or orders them differently, fails here.
 
 import functools
 import hashlib
+import os
 
 import pytest
 
@@ -131,3 +132,38 @@ def test_table1_quality_pinned(name):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_table1_covers_pinned(name):
     assert cover_digest(_synthesise(name).covers) == COVER_SHA256[name]
+
+
+def _experiments_modular_column():
+    """``{name: (signals, states, literals)}`` from EXPERIMENTS.md Table 1.
+
+    The modular cell is ``final signals / final states / literals / cpu``
+    in the third column of every ``| STG | ...`` row of the table.
+    """
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__)))),
+        "EXPERIMENTS.md",
+    )
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    section = text.split("\n## Table 1\n", 1)[1].split("\n## ", 1)[0]
+    column = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if cells[0] in PINNED:
+            signals, states, literals, _cpu = cells[2].split("/")
+            column[cells[0]] = (int(signals), int(states), int(literals))
+    return column
+
+
+def test_experiments_table1_modular_column_matches_pins():
+    column = _experiments_modular_column()
+    assert set(column) == set(PINNED)
+    for name, (states, literals, state_signals) in PINNED.items():
+        initial = len(load_benchmark(name).signals)
+        assert column[name] == (initial + state_signals, states, literals), (
+            f"EXPERIMENTS.md Table 1 modular cell of {name} drifted from "
+            f"the pin; regenerate it with "
+            f"`python -m repro.bench.table1 --methods modular`"
+        )

@@ -10,9 +10,11 @@ store results across a change of result-relevant options or code salt.
 
 import os
 import pickle
+import time
 
 import pytest
 
+from repro import obs
 from repro.bench import load_benchmark
 from repro.csc import modular_synthesis
 from repro.perf import (
@@ -25,6 +27,7 @@ from repro.runtime.budget import Budget
 from repro.runtime.options import SynthesisOptions
 from repro.stategraph import build_state_graph
 from repro.stg import parse_g
+from repro.stg.canonical import g_fingerprint
 
 from tests.example_stgs import ALL, CSC_CONFLICT
 
@@ -275,8 +278,8 @@ def test_stats_snapshot(tmp_path):
 def test_options_fingerprint_ignores_scheduling_fields(tmp_path):
     base = options_fingerprint(SynthesisOptions(minimize=True))
     assert base == options_fingerprint(SynthesisOptions(
-        minimize=True, jobs=4, cache_dir=str(tmp_path),
-        budget=Budget(max_seconds=100),
+        minimize=True, cache_dir=str(tmp_path), cache_max_bytes=1024,
+        budget=Budget(max_seconds=100), verify_level="hazards",
     ))
 
 
@@ -300,6 +303,28 @@ def test_salt_bumped_for_incremental_sat():
     # to move past every pre-incremental version.
     old = int("repro-result-cache/1".rsplit("/", 1)[1])
     assert int(CACHE_SALT.rsplit("/", 1)[1]) > old
+
+
+def test_record_written_under_the_previous_salt_heals_as_stale(tmp_path):
+    # Salt 3 dropped fields from the pickled ModularResult/RunReport; an
+    # artifact written by the salt-2 code must be dropped and rebuilt,
+    # never unpickled into the new classes.
+    stg = parse_g(CSC_CONFLICT)
+    options = SynthesisOptions(minimize=True, cache_dir=str(tmp_path))
+    key = ResultCache.key(
+        g_fingerprint(stg), options_fingerprint(options, "modular"),
+        "artifact", "modular",
+    )
+    ResultCache(tmp_path, salt="repro-result-cache/2").put(
+        "artifact", key, "a salt-2 artifact"
+    )
+    with obs.tracing() as tracer, obs.span("run"):
+        result = modular_synthesis(stg, options=options)
+    totals = tracer.counter_totals()
+    assert totals["result_cache_stale"] == 1
+    assert totals["result_cache_stores"] == 1
+    healed = ResultCache(tmp_path).get("artifact", key)
+    assert _observable(healed) == _observable(result)
 
 
 def test_graph_fingerprint_is_structural():
@@ -393,3 +418,28 @@ def test_timed_budget_runs_are_not_stored(tmp_path):
     run(Budget(max_states=10_000))
     stored = sum(len(files) for _, _, files in os.walk(tmp_path))
     assert stored > 0
+
+
+#: A mixed-size slice of Table 1: the largest rows next to small ones.
+WARM_SUITE = (
+    "alloc-outbound", "nak-pa", "sbuf-read-ctl", "vbe-ex2",
+    "mmu0", "pe-rcv-ifc-fc", "atod", "mr1",
+)
+
+
+def test_warm_suite_pass_is_5x_faster_and_identical(tmp_path):
+    options = SynthesisOptions(minimize=True, cache_dir=str(tmp_path))
+    stgs = [load_benchmark(name) for name in WARM_SUITE]
+
+    def suite_pass():
+        start = time.perf_counter()
+        results = [modular_synthesis(stg, options=options) for stg in stgs]
+        return time.perf_counter() - start, [_observable(r) for r in results]
+
+    cold_seconds, cold = suite_pass()
+    warm_seconds, warm = min(suite_pass() for _ in range(3))
+    assert warm == cold  # bit-identical, down to the recorded seconds
+    assert cold_seconds >= 5 * warm_seconds, (
+        f"warm pass {warm_seconds:.4f}s is not 5x faster than the cold "
+        f"pass {cold_seconds:.4f}s"
+    )

@@ -5,7 +5,7 @@ import pytest
 import repro
 from repro.baselines import lavagno_synthesis
 from repro.csc import direct_synthesis, modular_synthesis
-from repro.runtime import SynthesisOptions, coerce_options
+from repro.runtime import OPTION_FIELDS, SynthesisOptions, coerce_options
 from repro.runtime.run import run_synthesis
 from repro.stg import parse_g
 
@@ -48,23 +48,19 @@ class TestSynthesisOptions:
 
     def test_robustness_knob_defaults(self):
         options = SynthesisOptions()
-        assert options.retries == 2
-        assert options.retry_backoff == 0.05
         assert options.cache_max_bytes is None
 
     def test_robustness_knobs_validated(self):
-        with pytest.raises(ValueError, match="retries"):
-            SynthesisOptions(retries=-1)
-        with pytest.raises(ValueError, match="retry_backoff"):
-            SynthesisOptions(retry_backoff=-0.5)
         with pytest.raises(ValueError, match="cache_max_bytes"):
             SynthesisOptions(cache_max_bytes=-1)
-        # Zero is meaningful for all three: escalate immediately, no
-        # backoff sleep, evict everything.
-        options = SynthesisOptions(
-            retries=0, retry_backoff=0.0, cache_max_bytes=0
-        )
-        assert options.retries == 0
+        # Zero is meaningful: evict everything.
+        assert SynthesisOptions(cache_max_bytes=0).cache_max_bytes == 0
+
+    def test_dispatch_knobs_are_gone(self):
+        for name in ("jobs", "retries", "retry_backoff"):
+            assert name not in OPTION_FIELDS
+            with pytest.raises(TypeError):
+                SynthesisOptions(**{name: 1})
 
 
 class TestCoerceOptions:

@@ -2,21 +2,27 @@
 
 import asyncio
 import json
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
+import multiprocessing
+import os
+from concurrent.futures import (
+    BrokenExecutor,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 
 import pytest
 
 from repro import api
 from repro.obs.export import validate_prometheus_text
-from repro.runtime.supervise import RetryPolicy
 from repro.service import (
+    RetryPolicy,
     SynthesisService,
     handle_connection,
     parse_request,
     start_server,
 )
 
-from tests.example_stgs import CSC_CONFLICT, HANDSHAKE
+from tests.example_stgs import CONCURRENT, CSC_CONFLICT, HANDSHAKE
 
 
 def run(coro):
@@ -214,6 +220,98 @@ class TestWorkerRecovery:
         assert status == 500
         assert "died" in json.loads(payload)["error"]
         assert service.counters["service_errors"] == 1
+
+
+class DieOnFirstTask(ProcessPoolExecutor):
+    """A real process pool whose first task of the whole test kills its
+    worker with ``os._exit`` -- the shape of an OS kill -- so the pool
+    genuinely breaks (``BrokenProcessPool``) under the service."""
+
+    deaths = None  # per-test shared counter, set by the factory
+
+    def submit(self, fn, /, *args, **kwargs):
+        if self.deaths["left"] > 0:
+            self.deaths["left"] -= 1
+            return super().submit(os._exit, 43)
+        return super().submit(fn, *args, **kwargs)
+
+
+def _comparable(payload):
+    """A response document without its timing and cache-tier fields."""
+    document = json.loads(payload)
+    document.pop("seconds")
+    document.pop("cache")
+    return document
+
+
+class TestRealWorkerCrash:
+    """The crash-recovery guarantee, end to end on a real process pool:
+    one worker death costs one pool respawn and changes no response."""
+
+    BODIES = (CSC_CONFLICT, HANDSHAKE, CONCURRENT, CSC_CONFLICT)
+
+    def serve_all(self, service):
+        async def scenario():
+            return await asyncio.gather(
+                *(service.synthesize(body) for body in self.BODIES)
+            )
+
+        try:
+            return run(scenario())
+        finally:
+            service.close()
+
+    def test_worker_death_respawns_once_and_changes_nothing(self):
+        deaths = {"left": 1}
+        context = multiprocessing.get_context("forkserver")
+
+        def factory():
+            pool = DieOnFirstTask(max_workers=2, mp_context=context)
+            pool.deaths = deaths
+            return pool
+
+        crashed = make_service(
+            executor=factory, jobs=2,
+            retry=RetryPolicy(retries=2, backoff=0.0),
+        )
+        faulted = self.serve_all(crashed)
+        clean = self.serve_all(make_service())
+
+        assert deaths["left"] == 0  # the death really happened
+        assert [status for status, _ in faulted] == [200] * len(self.BODIES)
+        assert [_comparable(p) for _, p in faulted] == [
+            _comparable(p) for _, p in clean
+        ]
+        assert crashed.counters["service_worker_respawns"] == 1
+
+
+class TestRetryPolicy:
+    def test_delay_is_deterministic_and_jittered(self):
+        policy = RetryPolicy(backoff=0.1, seed=7)
+        first = policy.delay(1, token="a")
+        assert first == policy.delay(1, token="a")
+        assert 0.05 <= first < 0.1
+        assert policy.delay(1, token="b") != first  # de-synchronised
+
+    def test_delay_doubles_and_caps(self):
+        policy = RetryPolicy(backoff=0.1, backoff_cap=0.3)
+        d1, d2, d3, d9 = (policy.delay(n, token="t") for n in (1, 2, 3, 9))
+        assert d1 < d2 < d3
+        assert d9 <= 0.3  # capped
+
+    def test_delay_differs_by_seed(self):
+        assert (RetryPolicy(seed=0).delay(1, token="t")
+                != RetryPolicy(seed=1).delay(1, token="t"))
+
+    def test_delay_attempt_starts_at_one(self):
+        with pytest.raises(ValueError):
+            RetryPolicy().delay(0)
+
+    def test_policy_validation(self):
+        with pytest.raises(ValueError):
+            RetryPolicy(retries=-1)
+        with pytest.raises(ValueError):
+            RetryPolicy(backoff=-0.1)
 
 
 class TestIntrospection:

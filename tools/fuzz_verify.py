@@ -9,7 +9,7 @@ Generates ``N`` random live/safe free-choice STGs
 (:func:`repro.stg.generate.generate_stg`, sweeping ``signals``,
 ``width`` and ``csc_density`` deterministically from the seed),
 synthesises each under one cell of the method matrix (modular /
-direct / lavagno x sat_mode x jobs, round-robin by index), and runs
+direct / lavagno x sat_mode, round-robin by index), and runs
 the full closed-loop checker (:func:`repro.verify.verify_result`,
 level ``hazards``) on every result.  Three legs land in one artifact,
 ``BENCH_verify.json`` (schema ``repro-verify-bench/1``):
@@ -18,9 +18,10 @@ level ``hazards``) on every result.  Three legs land in one artifact,
   verdict, states explored, counterexamples (there must be none);
 * **table1** -- the 23 paper benchmarks, modular synthesis, verified
   at ``hazards`` (exceptions, if any, must carry a documented reason);
-* **mutants** -- every 8th clean modular row is re-checked under
-  seeded mutations (:func:`repro.verify.mutate_result`); caught
-  mutants must replay their counterexample traces end to end.
+* **mutants** -- the first row of every matrix pass (a modular
+  synthesis), when clean, is re-checked under seeded mutations
+  (:func:`repro.verify.mutate_result`); caught mutants must replay
+  their counterexample traces end to end.
 
 ``--check PATH`` validates an existing artifact against the gates the
 repository commits to: zero verifier failures, zero errors, zero
@@ -56,14 +57,12 @@ MIN_COUNT = 200
 
 #: The synthesis matrix, cycled round-robin over the circuit index.
 MATRIX = (
-    {"method": "modular", "sat_mode": "incremental", "jobs": 1},
-    {"method": "modular", "sat_mode": "oneshot", "jobs": 1},
-    {"method": "modular", "sat_mode": "incremental", "jobs": 2},
-    {"method": "modular", "sat_mode": "oneshot", "jobs": 2},
-    {"method": "direct", "sat_mode": "incremental", "jobs": 1},
-    {"method": "direct", "sat_mode": "oneshot", "jobs": 1},
-    {"method": "lavagno", "sat_mode": "incremental", "jobs": 1},
-    {"method": "lavagno", "sat_mode": "oneshot", "jobs": 1},
+    {"method": "modular", "sat_mode": "incremental"},
+    {"method": "modular", "sat_mode": "oneshot"},
+    {"method": "direct", "sat_mode": "incremental"},
+    {"method": "direct", "sat_mode": "oneshot"},
+    {"method": "lavagno", "sat_mode": "incremental"},
+    {"method": "lavagno", "sat_mode": "oneshot"},
 )
 
 #: Knob sweep ranges for the generator.
@@ -74,8 +73,8 @@ CSC_DENSITIES = (0.0, 0.25, 0.5, 1.0)
 #: Closed-loop exploration cap per circuit.
 MAX_STATES = 200_000
 
-#: Every Nth clean modular row feeds the mutation leg.
-MUTATE_EVERY = 8
+#: The first (modular) row of every matrix pass feeds the mutation leg.
+MUTATE_EVERY = len(MATRIX)
 
 
 def _knobs(seed, index):
@@ -94,9 +93,7 @@ def _synthesise(graph, cell):
     from repro.csc import direct_synthesis, modular_synthesis
     from repro.runtime.options import SynthesisOptions
 
-    options = SynthesisOptions(
-        minimize=True, sat_mode=cell["sat_mode"], jobs=cell["jobs"]
-    )
+    options = SynthesisOptions(minimize=True, sat_mode=cell["sat_mode"])
     method = {
         "modular": modular_synthesis,
         "direct": direct_synthesis,
@@ -320,8 +317,6 @@ def check_document(document, min_count=MIN_COUNT):
             problems.append(
                 "matrix coverage: modular rows miss a sat_mode"
             )
-        if not any(r.get("jobs") == 2 for r in modular):
-            problems.append("matrix coverage: no jobs=2 modular rows")
 
     table1 = document.get("table1")
     if not isinstance(table1, list) or len(table1) < 23:
